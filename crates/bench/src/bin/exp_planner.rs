@@ -22,9 +22,11 @@
 //!   parity here (both are output-bound), so the planner's job is to
 //!   stay within noise of the best static pick.
 //! * **window filter, selective** — a small window on an analyzed,
-//!   indexed table: the planner routes through the domain-index
-//!   prefilter; the static alternative (functional scan, timed on an
-//!   index-less twin of the same data) pays an exact test per row.
+//!   indexed table: the planner picks the index rowid scan, which
+//!   fetches only the answer rows (asserted, also under `--quick`: at
+//!   most 4 heap-row fetches per result row); the static alternative
+//!   (functional scan, timed on an index-less twin of the same data)
+//!   pays an exact test per row.
 //! * **top-k by distance** — `ORDER BY SDO_DISTANCE(...) LIMIT k`
 //!   pushes into the R-tree best-first search; the static sort plan
 //!   (forced with a second order key) ranks the whole table. Also
@@ -190,8 +192,20 @@ fn run(n_uniform: usize, n_hot: usize, n_topk: usize, quick: bool) {
     let (c_auto, t_auto) = best3(|| count(&db, window));
     let (c_fn, t_fn) = best3(|| count(&twin, window));
     assert_eq!(c_auto, c_fn, "filter paths disagree");
-    println!("   index prefilter (auto) {}  functional scan {}", secs(t_auto), secs(t_fn));
+    let before = db.counters().snapshot();
+    count(&db, window);
+    let fetches = db.counters().diff(&before).get("row_fetches").unwrap_or(0);
+    let per_result = fetches as f64 / c_auto.max(1) as f64;
+    println!("   index rowid scan (auto) {}  functional scan {}", secs(t_auto), secs(t_fn));
+    println!(
+        "   auto fetched {fetches} heap rows for {c_auto} results ({per_result:.2} per result)"
+    );
     report("selective-window", t_auto, &[("index", t_auto), ("functional", t_fn)], quick);
+    assert!(
+        per_result <= 4.0,
+        "the selective window must fetch its answer rows, not scan the table: \
+         {fetches} fetches for {c_auto} results"
+    );
 
     // -- workload 5: top-k by distance --------------------------------------
     println!();

@@ -13,11 +13,14 @@
 //!
 //! * [`TableScanExec`] — snapshot cursor over a base table (per-batch
 //!   locking, high-water-mark bound at open),
+//! * [`IndexRowidScanExec`] — asks a domain index for the answer's
+//!   rowids once, then fetches just those heap rows (window queries
+//!   and the kNN pushdown),
 //! * [`TableFunctionScanExec`] — wraps an open pipelined table function
 //!   and forwards its `fetch(max_rows)` batches directly,
 //! * [`FilterExec`] — per-batch predicate evaluation with the
-//!   index-assisted fast paths (window prefilter, SDO_NN ranking) as
-//!   open-time rewrites,
+//!   index-assisted fast paths (rowid keep-sets for non-driving window
+//!   predicates, SDO_NN ranking) as open-time rewrites,
 //! * [`RowidSemiJoinExec`] — streams rowid pairs from a subquery and
 //!   fetches the paired base rows batch-by-batch,
 //! * [`NestedLoopJoinExec`] — streamed outer side, index-probed (or
@@ -42,7 +45,7 @@ use crate::extensible::OperatorCall;
 use crate::sql::ast::{FromItem, OrderKey, Predicate, Select, SelectItem, TfArgAst};
 use parking_lot::RwLock;
 use sdo_obs::{MemoryGauge, ProfileNode};
-use sdo_storage::{RowId, Snapshot, Table, Value};
+use sdo_storage::{RowId, Snapshot, StorageError, Table, Value};
 use sdo_tablefunc::source::TableCursor;
 use sdo_tablefunc::{Row, RowSource, TableFunction};
 use std::collections::{HashSet, VecDeque};
@@ -462,22 +465,8 @@ fn build_prefilters(
                 .filter(|&k| k >= 1)
                 .ok_or_else(|| DbError::Plan("SDO_NN needs a result count".into()))?
                 as usize;
-            let mut ranked: Vec<(f64, RowId)> = Vec::new();
-            let mut cursor = TableCursor::full(table).at_snapshot(snap);
-            loop {
-                let rows = cursor.next_batch(BATCH_ROWS);
-                if rows.is_empty() {
-                    break;
-                }
-                for row in rows {
-                    let Some(rid) = row[0].as_rowid() else { continue };
-                    if let Some(g) = row.get(ci + 1).and_then(|v| v.as_geometry()) {
-                        ranked.push((sdo_geom::distance(g, qg), rid));
-                    }
-                }
-            }
-            ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let keep: HashSet<RowId> = ranked.into_iter().take(k).map(|(_, r)| r).collect();
+            let ranked = rank_by_distance(table, ci, qg, k, snap);
+            let keep: HashSet<RowId> = ranked.into_iter().map(|(_, r)| r).collect();
             out.push(Prefilter::RowidSet { rel: ri, keep });
         } else {
             out.push(Prefilter::Functional);
@@ -486,121 +475,160 @@ fn build_prefilters(
     Ok(out)
 }
 
-/// Incremental nearest-neighbor scan: the planner's rewrite of
-/// `ORDER BY SDO_DISTANCE(col, const) LIMIT k` over an R-tree-indexed
-/// table. Asks the domain index for the k nearest rowids in
-/// `(distance, rowid)` order — exactly the order a stable full sort
-/// over a rowid-ordered scan produces — and fetches just those rows,
-/// so only k rows are ever resident instead of the whole table.
-pub(crate) struct KnnScanExec<'a> {
+/// Functional k-NN: rank the rows visible to `snap` by exact distance
+/// from column `col` to `query` and keep the first `k`, ties broken by
+/// rowid — the order the R-tree's best-first search produces.
+fn rank_by_distance(
+    table: Arc<RwLock<Table>>,
+    col: usize,
+    query: &sdo_geom::Geometry,
+    k: usize,
+    snap: Snapshot,
+) -> Vec<(f64, RowId)> {
+    let mut ranked: Vec<(f64, RowId)> = Vec::new();
+    let mut cursor = TableCursor::full(table).at_snapshot(snap);
+    loop {
+        let rows = cursor.next_batch(BATCH_ROWS);
+        if rows.is_empty() {
+            break;
+        }
+        for row in rows {
+            let Some(rid) = row[0].as_rowid() else { continue };
+            if let Some(g) = row.get(col + 1).and_then(|v| v.as_geometry()) {
+                ranked.push((sdo_geom::distance(g, query), rid));
+            }
+        }
+    }
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    ranked.truncate(k);
+    ranked
+}
+
+/// Where an [`IndexRowidScanExec`] gets its rowids.
+pub(crate) enum RowidSource {
+    /// One evaluation of the driving constant spatial predicate: the
+    /// exact rowids visible to the statement snapshot, fetched in
+    /// rowid order — the heap scan's order, so the rows come out
+    /// exactly as a full scan plus filter would emit them.
+    Evaluate(OperatorCall),
+    /// The planner's rewrite of `ORDER BY SDO_DISTANCE(col, const)
+    /// LIMIT k`: the k nearest rowids in `(distance, rowid)` order —
+    /// the order a stable full sort over a rowid-ordered scan produces.
+    Nearest { query: Arc<sdo_geom::Geometry>, k: usize, col: usize },
+}
+
+/// The domain-index access path. At open it asks the index once for
+/// the answer's rowids (the paper's operator "returns its rowids
+/// only"), charges that list to the statement gauge, then fetches
+/// just those heap rows, one table read lock per batch, skipping rows
+/// the snapshot can no longer see. A selective window fetches its
+/// answer rows instead of scanning the table; the kNN pushdown holds k
+/// rowids instead of sorting every row.
+pub(crate) struct IndexRowidScanExec<'a> {
     db: &'a Database,
     table: Arc<RwLock<Table>>,
     index: IndexHandle,
-    query: Arc<sdo_geom::Geometry>,
-    k: usize,
-    col: usize,
+    source: RowidSource,
+    rids: Option<VecDeque<RowId>>,
     slot: usize,
     width: usize,
-    results: Option<VecDeque<(f64, RowId)>>,
     node: Option<ProfileNode>,
     resident: Resident,
     snap: Snapshot,
 }
 
-impl<'a> KnnScanExec<'a> {
+impl<'a> IndexRowidScanExec<'a> {
+    /// `operator` names the scan in `max_resident_rows` errors.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
         index: IndexHandle,
-        query: Arc<sdo_geom::Geometry>,
-        k: usize,
-        col: usize,
+        source: RowidSource,
+        operator: &str,
         slot: usize,
         width: usize,
         node: Option<ProfileNode>,
     ) -> Self {
-        let resident = ctx.resident("KNN SCAN");
-        KnnScanExec {
+        IndexRowidScanExec {
             db: ctx.db,
             table,
             index,
-            query,
-            k,
-            col,
+            source,
+            rids: None,
             slot,
             width,
-            results: None,
             node,
-            resident,
+            resident: ctx.resident(operator),
             snap: ctx.snap,
         }
     }
 
-    fn ensure_ranked(&mut self) -> Result<(), DbError> {
-        if self.results.is_some() {
+    fn open(&mut self) -> Result<(), DbError> {
+        if self.rids.is_some() {
             return Ok(());
         }
-        let ranked = match self.index.read().nearest(&self.query, self.k, &self.snap)? {
-            Some(v) => {
-                if let Some(n) = &self.node {
-                    n.set_attr("knn_path", "index best-first");
-                }
-                v
+        let rids: Vec<RowId> = match &self.source {
+            RowidSource::Evaluate(call) => {
+                let mut rids = self.index.read().evaluate(call)?;
+                // Indextypes promise sorted, deduplicated rowids; a
+                // custom one may not keep that promise, and rowid order
+                // is what keeps the output identical to a heap scan.
+                rids.sort_unstable();
+                rids.dedup();
+                rids
             }
-            None => {
-                // The index declared no kNN capability after all (the
-                // planner checks the index kind, but custom indextypes
-                // may not implement `nearest`): rank functionally, same
-                // (distance, rowid) order.
-                if let Some(n) = &self.node {
-                    n.set_attr("knn_path", "functional ranking fallback");
-                }
-                let mut ranked: Vec<(f64, RowId)> = Vec::new();
-                let mut cursor = TableCursor::full(Arc::clone(&self.table)).at_snapshot(self.snap);
-                loop {
-                    let rows = cursor.next_batch(BATCH_ROWS);
-                    if rows.is_empty() {
-                        break;
-                    }
-                    for row in rows {
-                        let Some(rid) = row[0].as_rowid() else { continue };
-                        if let Some(g) = row.get(self.col + 1).and_then(|v| v.as_geometry()) {
-                            ranked.push((sdo_geom::distance(g, &self.query), rid));
+            RowidSource::Nearest { query, k, col } => {
+                let ranked = match self.index.read().nearest(query, *k, &self.snap)? {
+                    Some(v) => {
+                        if let Some(n) = &self.node {
+                            n.set_attr("knn_path", "index best-first");
                         }
+                        v
                     }
-                }
-                ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                ranked.truncate(self.k);
-                ranked
+                    None => {
+                        // The index declared no kNN capability after all
+                        // (custom indextypes may not implement
+                        // `nearest`): rank functionally, same order.
+                        if let Some(n) = &self.node {
+                            n.set_attr("knn_path", "functional ranking fallback");
+                        }
+                        rank_by_distance(Arc::clone(&self.table), *col, query, *k, self.snap)
+                    }
+                };
+                ranked.into_iter().map(|(_, rid)| rid).collect()
             }
         };
-        self.resident.add(ranked.len() as u64)?;
-        self.results = Some(ranked.into_iter().collect());
+        self.resident.add(rids.len() as u64)?;
+        self.rids = Some(rids.into());
         Ok(())
     }
 }
 
-impl BatchOp for KnnScanExec<'_> {
+impl BatchOp for IndexRowidScanExec<'_> {
     fn next_batch(&mut self) -> Result<JoinedBatch, DbError> {
         let t0 = self.node.as_ref().map(|_| Instant::now());
         let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
-        self.ensure_ranked()?;
-        let buf = self.results.as_mut().expect("ranked");
-        let mut out = Vec::new();
-        while out.len() < BATCH_ROWS {
-            let Some((_, rid)) = buf.pop_front() else { break };
-            // `nearest` already ranked under this snapshot; the fetch
-            // re-check only guards a concurrent vacuum.
-            let vals = match self.table.read().get_at(rid, &self.snap) {
-                Ok(v) => v,
-                Err(_) => continue,
-            };
-            let mut jr = empty_joined(self.width);
-            jr[self.slot] = RelRow { rid: Some(rid), values: vals.to_vec() };
-            out.push(jr);
+        self.open()?;
+        let rids = self.rids.as_mut().expect("rowids resolved at open");
+        let mut out = Vec::with_capacity(rids.len().min(BATCH_ROWS));
+        {
+            let table = self.table.read();
+            while out.len() < BATCH_ROWS {
+                let Some(rid) = rids.pop_front() else { break };
+                // The index answered under this snapshot; the re-check
+                // only skips a row vacuumed since.
+                let vals = match table.get_at(rid, &self.snap) {
+                    Ok(v) => v,
+                    Err(StorageError::NoSuchRow(_)) => continue,
+                    Err(e) => return Err(e.into()),
+                };
+                let mut jr = empty_joined(self.width);
+                jr[self.slot] = RelRow { rid: Some(rid), values: vals.to_vec() };
+                out.push(jr);
+            }
         }
-        self.resident.set(buf.len() as u64)?;
+        self.resident.set(rids.len() as u64)?;
         if !out.is_empty() {
             note_batch(&self.node, out.len(), t0);
         }
@@ -611,7 +639,7 @@ impl BatchOp for KnnScanExec<'_> {
     }
 
     fn close(&mut self) {
-        self.results = None;
+        self.rids = Some(VecDeque::new());
         let _ = self.resident.set(0);
     }
 }
@@ -622,10 +650,11 @@ impl BatchOp for KnnScanExec<'_> {
 pub(crate) type FilterInputs =
     (Arc<Vec<RelMeta>>, Vec<SpatialPred>, Vec<Predicate>, Option<Vec<bool>>);
 
-/// Per-batch predicate evaluation. Index-assisted paths (window-query
-/// prefilter, SDO_NN top-k ranking) run once at open as a
-/// `FilterExec`-level rewrite into rowid keep-sets; everything else
-/// evaluates functionally per row.
+/// Per-batch predicate evaluation. Index-assisted paths (keep-sets for
+/// window predicates that do not drive an index rowid scan, SDO_NN
+/// top-k ranking) run once at open as a `FilterExec`-level rewrite
+/// into rowid keep-sets; everything else evaluates functionally per
+/// row.
 pub(crate) struct FilterExec<'a> {
     db: &'a Database,
     child: Box<dyn BatchOp + 'a>,
@@ -1481,6 +1510,19 @@ pub(crate) fn build_select_stream<'a>(
         && knn.is_none();
     let par_probe =
         matches!(&exchange, Some(x) if x.site == ExchangeSite::Probe) && !rowid_pairs.is_empty();
+    // Index rowid scan: the planner's driving predicate, honored only
+    // when the runtime classification matches the planned one and its
+    // domain index still exists.
+    let index_scan = plan
+        .as_ref()
+        .filter(|p| single_base && p.filter_hints.len() == spatial.len())
+        .and_then(|plan| {
+            let ac = plan.access.as_ref()?;
+            let p = spatial.get(ac.pred)?;
+            let m = &metas[p.target.0];
+            let (_, index) = db.index_on(m.table_name.as_deref()?, &m.columns[p.target.1])?;
+            Some((ac, plan.filter_hints.clone(), index))
+        });
 
     // Profile nodes, created top-down so the rendered tree mirrors the
     // operator tree: LIMIT → SORT → FILTER → join strategy → scans.
@@ -1518,16 +1560,9 @@ pub(crate) fn build_select_stream<'a>(
             .ok_or_else(|| DbError::Plan("kNN pushdown requires a domain index".into()))?;
         // Mark the FROM source consumed so the builder stays coherent.
         sources[0] = SourceSlot::Taken;
-        root = Box::new(KnnScanExec::new(
-            ctx,
-            table,
-            index,
-            Arc::clone(&kc.query),
-            kc.k,
-            kc.col,
-            0,
-            width,
-            node,
+        let source = RowidSource::Nearest { query: Arc::clone(&kc.query), k: kc.k, col: kc.col };
+        root = Box::new(IndexRowidScanExec::new(
+            ctx, table, index, source, "KNN SCAN", 0, width, node,
         ));
     } else if let Some(Predicate::RowidPairIn { left, right, subquery }) = rowid_pairs.first() {
         let has_filter_stage = !spatial.is_empty() || !residual.is_empty();
@@ -1652,6 +1687,49 @@ pub(crate) fn build_select_stream<'a>(
                 filter_node,
             ));
         }
+    } else if let Some((ac, mut hints, index)) = index_scan {
+        // The driving predicate is answered by the index; only the
+        // other conjuncts are evaluated per fetched row.
+        let p = spatial.remove(ac.pred);
+        hints.remove(ac.pred);
+        let has_filter_stage = !spatial.is_empty() || !residual.is_empty();
+        let filter_node =
+            has_filter_stage.then(|| anchor.as_ref().map(|p| p.child("FILTER"))).flatten();
+        let scan_anchor = filter_node.clone().or(anchor.clone());
+        let node = scan_anchor.as_ref().map(|n| n.child(ac.label.clone()));
+        if let Some(n) = &node {
+            n.set_attr("plan_reason", ac.reason.clone());
+            n.set_attr("est_cost", format!("{:.0}", ac.est_cost));
+        }
+        let table = match std::mem::replace(&mut sources[0], SourceSlot::Taken) {
+            SourceSlot::Table { table, .. } => table,
+            _ => return Err(DbError::Plan("index rowid scan requires a base table".into())),
+        };
+        let SpatialOperand::Const(qg) = p.other else { unreachable!("single_base has no joins") };
+        let mut args = vec![Value::Geometry(qg)];
+        args.extend(p.extra);
+        let call = OperatorCall { name: p.name, args, snap: ctx.snap };
+        root = Box::new(IndexRowidScanExec::new(
+            ctx,
+            table,
+            index,
+            RowidSource::Evaluate(call),
+            &ac.label,
+            0,
+            width,
+            node,
+        ));
+        if has_filter_stage {
+            root = Box::new(FilterExec::new(
+                root,
+                ctx,
+                Arc::clone(&metas),
+                spatial,
+                residual,
+                Some(hints),
+                filter_node,
+            ));
+        }
     } else if par_scan || par_sort {
         // Morsel-driven scan (+filter, + per-worker sort under an
         // ORDER BY): the exchange fans slot-range morsels out to the
@@ -1752,59 +1830,34 @@ pub(crate) fn run_select_streaming(
     build_select_stream(ctx, sel, parent.as_ref())?.run()
 }
 
-/// Scan-and-filter a single table, returning the matching `(rowid,
-/// row)` pairs. The DML paths (DELETE / UPDATE) drive their doomed-set
-/// collection through the same scan + filter operators as SELECT.
+/// The rows of one table matching `where_clause`, as `(rowid, row)`
+/// pairs in rowid order. DELETE and UPDATE collect their doomed set
+/// through the SELECT pipeline, so a selective window predicate takes
+/// the index rowid scan here too. Collection stays serial.
 pub(crate) fn collect_matching(
     ctx: &ExecCtx<'_>,
     table_name: &str,
     where_clause: &[Predicate],
 ) -> Result<Vec<(RowId, Row)>, DbError> {
-    let db = ctx.db;
-    let table = db.table(table_name)?;
-    let columns: Vec<String> =
-        table.read().schema().columns().iter().map(|c| c.name.clone()).collect();
-    let metas = Arc::new(vec![RelMeta {
-        binding: table_name.to_ascii_uppercase(),
-        columns,
-        table: Some(Arc::clone(&table)),
-        table_name: Some(table_name.to_ascii_uppercase()),
-    }]);
-    let op_names = db.operator_names();
-    let mut spatial: Vec<SpatialPred> = Vec::new();
-    let mut residual: Vec<Predicate> = Vec::new();
-    for p in where_clause {
-        match p {
-            Predicate::RowidPairIn { .. } => {
-                return Err(DbError::Plan(
-                    "rowid-pair IN must be the driving predicate of a two-table select".into(),
-                ))
-            }
-            Predicate::Compare {
-                left: crate::sql::ast::Expr::FnCall { name, args },
-                op,
-                right,
-            } if *op == crate::sql::ast::CmpOp::Eq
-                && op_names.iter().any(|o| o.eq_ignore_ascii_case(name))
-                && matches!(right, crate::sql::ast::Expr::Literal(v) if v.as_text() == Some("TRUE")) =>
-            {
-                spatial.push(classify_spatial(&metas, name, args)?)
-            }
-            other => residual.push(other.clone()),
-        }
+    if where_clause.iter().any(|p| matches!(p, Predicate::RowidPairIn { .. })) {
+        return Err(DbError::Plan(
+            "rowid-pair IN must be the driving predicate of a two-table select".into(),
+        ));
     }
+    let sel = Select {
+        projection: vec![SelectItem::Star],
+        from: vec![FromItem::Table { name: table_name.to_string(), alias: None }],
+        where_clause: where_clause.to_vec(),
+        order_by: Vec::new(),
+        limit: None,
+    };
+    let serial = ExecCtx { gauge: ctx.gauge.clone(), parallel_dop: 1, ..*ctx };
     let parent = sdo_obs::current();
-    let mut root: Box<dyn BatchOp + '_> =
-        Box::new(TableScanExec::new(ctx, table, table_name, 0, 1, parent.as_ref()));
-    if !spatial.is_empty() || !residual.is_empty() {
-        let node = parent.as_ref().map(|p| p.child("FILTER"));
-        root =
-            Box::new(FilterExec::new(root, ctx, Arc::clone(&metas), spatial, residual, None, node));
-    }
+    let mut stream = build_select_stream(&serial, &sel, parent.as_ref())?;
     let mut matched = Vec::new();
     let res = (|| -> Result<(), DbError> {
         loop {
-            let batch = root.next_batch()?;
+            let batch = stream.root.next_batch()?;
             if batch.is_empty() {
                 return Ok(());
             }
@@ -1815,7 +1868,102 @@ pub(crate) fn collect_matching(
             }
         }
     })();
-    root.close();
+    stream.close();
     res?;
     Ok(matched)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::extensible::DomainIndex;
+    use sdo_storage::{DataType, Schema};
+
+    /// A domain index that answers every operator with a fixed rowid
+    /// list — unsorted, with duplicates — to pin the scan's contract.
+    struct FixedIndex(Vec<RowId>);
+
+    impl DomainIndex for FixedIndex {
+        fn name(&self) -> &str {
+            "FIXED"
+        }
+        fn on_insert(&mut self, _: RowId, _: &[Value]) -> Result<(), DbError> {
+            Ok(())
+        }
+        fn on_delete(&mut self, _: RowId, _: &[Value]) -> Result<(), DbError> {
+            Ok(())
+        }
+        fn evaluate(&self, _: &OperatorCall) -> Result<Vec<RowId>, DbError> {
+            Ok(self.0.clone())
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    fn test_db(rows: i64) -> Database {
+        let db = Database::new();
+        db.create_table("t", Schema::of(&[("ID", DataType::Integer)])).unwrap();
+        for i in 0..rows {
+            db.insert_row("t", vec![Value::Integer(i)]).unwrap();
+        }
+        db
+    }
+
+    fn scan<'a>(ctx: &ExecCtx<'a>, rids: Vec<RowId>) -> IndexRowidScanExec<'a> {
+        let index: IndexHandle = Arc::new(RwLock::new(Box::new(FixedIndex(rids))));
+        let call = OperatorCall { name: "FIXED".into(), args: Vec::new(), snap: ctx.snap };
+        let table = ctx.db.table("t").unwrap();
+        let source = RowidSource::Evaluate(call);
+        IndexRowidScanExec::new(ctx, table, index, source, "INDEX ROWID SCAN T", 0, 1, None)
+    }
+
+    fn ctx(db: &Database, budget: u64) -> ExecCtx<'_> {
+        ExecCtx {
+            db,
+            gauge: MemoryGauge::new(),
+            max_resident_rows: budget,
+            materialize: false,
+            parallel_dop: 1,
+            snap: db.read_snapshot(),
+        }
+    }
+
+    #[test]
+    fn fetches_in_rowid_order_skipping_missing_rows() {
+        let db = test_db(3000);
+        db.table("t").unwrap().write().delete(RowId::new(7)).unwrap();
+        let ctx = ctx(&db, u64::MAX);
+        let mut rids: Vec<RowId> = (0..2500).rev().map(RowId::new).collect();
+        rids.extend([RowId::new(3), RowId::new(7), RowId::new(9999)]);
+        let mut exec = scan(&ctx, rids);
+        let mut ids = Vec::new();
+        let mut batches = 0;
+        loop {
+            let b = exec.next_batch().unwrap();
+            if b.is_empty() {
+                break;
+            }
+            batches += 1;
+            assert!(b.len() <= BATCH_ROWS);
+            ids.extend(b.iter().map(|jr| jr[0].values[0].as_integer().unwrap()));
+        }
+        let want: Vec<i64> = (0..2500).filter(|&i| i != 7).collect();
+        assert_eq!(ids, want, "sorted, deduplicated, invisible rows skipped");
+        assert_eq!(batches, 3);
+        assert_eq!(ctx.gauge.peak(), 2501, "the deduplicated rowid list is charged");
+        assert_eq!(ctx.gauge.current(), 0, "a drained scan holds nothing");
+    }
+
+    #[test]
+    fn budget_breach_names_the_scan_and_releases_the_charge() {
+        let db = test_db(100);
+        let ctx = ctx(&db, 10);
+        let mut exec = scan(&ctx, (0..50).map(RowId::new).collect());
+        let Err(err) = exec.next_batch() else { panic!("50 rowids exceed a budget of 10") };
+        let err = err.to_string();
+        assert!(err.contains("MAX_RESIDENT_ROWS") && err.contains("INDEX ROWID SCAN T"), "{err}");
+        drop(exec);
+        assert_eq!(ctx.gauge.current(), 0, "the gauge drains after a breach");
+    }
 }

@@ -5,10 +5,13 @@
 //! every SELECT, a costed [`PlanNode`] tree plus the concrete physical
 //! decisions the executors consult:
 //!
-//! * **filter path** — domain-index prefilter vs. functional scan per
-//!   constant spatial predicate, chosen by estimated output rows (a
-//!   window covering most of the table makes the index probe pure
-//!   overhead),
+//! * **access path** — for a single base table, an index rowid scan
+//!   (the domain index answers the driving constant spatial predicate
+//!   and only the answer rows are fetched) vs. a full scan, possibly
+//!   morsel-parallel; a window covering most of the table makes the
+//!   index probe plus per-row fetch dearer than the scan,
+//! * **filter path** — for the remaining constant spatial predicates,
+//!   a domain-index rowid keep-set vs. functional evaluation,
 //! * **join order and method** — for a column-column spatial predicate,
 //!   all four (outer side × probe/build) orientations are costed and
 //!   the cheapest picked; for pure cartesian products the largest
@@ -263,6 +266,21 @@ pub(crate) struct KnnChoice {
     pub reason: String,
 }
 
+/// The index rowid scan access path of a single base table.
+pub(crate) struct AccessChoice {
+    /// Position of the driving predicate in the classified spatial
+    /// list (the executor's order).
+    pub pred: usize,
+    /// Operator label: `INDEX ROWID SCAN <t> (<op> via <index>)`.
+    pub label: String,
+    /// Estimated rowids the index returns.
+    pub est_rows: f64,
+    /// Cost of the index path.
+    pub est_cost: f64,
+    /// The estimate and cost comparison that picked it.
+    pub reason: String,
+}
+
 /// Per-spatial-predicate filter path: `true` = use the domain index
 /// prefilter when one exists, `false` = planner determined the
 /// functional scan is cheaper (index probe disabled).
@@ -332,6 +350,8 @@ pub(crate) struct SelectPlan {
     pub join: Option<JoinChoice>,
     /// kNN pushdown, when detected.
     pub knn: Option<KnnChoice>,
+    /// Index rowid scan, when it is cheaper than scanning the table.
+    pub access: Option<AccessChoice>,
     /// Which FROM slot streams in a cartesian product (the rest are
     /// materialized); slot 0 unless reordering pays.
     pub stream_slot: usize,
@@ -535,6 +555,62 @@ fn choose_join(
 }
 
 // ---------------------------------------------------------------------------
+// Access path
+// ---------------------------------------------------------------------------
+
+/// The domain index that can drive an index rowid scan for `p`: a
+/// constant operand over an indexed column. `SDO_RELATE` with a
+/// DISJOINT mask never drives — the index answers it with a full scan
+/// of its own.
+fn driving_index(db: &Database, metas: &[RelMeta], p: &SpatialPred) -> Option<String> {
+    if p.is_join() {
+        return None;
+    }
+    let disjoint = p.name == "SDO_RELATE"
+        && p.extra
+            .first()
+            .and_then(|v| v.as_text())
+            .is_some_and(|m| m.to_ascii_uppercase().contains("DISJOINT"));
+    if disjoint {
+        return None;
+    }
+    indexed(db, metas, p.target.0, p.target.1)
+}
+
+/// The cheapest index rowid scan over a single base table: the indexed
+/// constant spatial predicate with the fewest estimated rows drives,
+/// priced `C_PROBE + out·(C_EXACT + C_FETCH)` — one probe, an exact
+/// test per answer row inside the index, and one heap fetch per row.
+fn index_access(
+    db: &Database,
+    metas: &[RelMeta],
+    est: &RelEstimate,
+    spatial: &[SpatialPred],
+) -> Option<AccessChoice> {
+    spatial
+        .iter()
+        .enumerate()
+        .filter_map(|(pred, p)| {
+            let index = driving_index(db, metas, p)?;
+            let table = metas[p.target.0].table_name.as_deref()?;
+            let (out, src) = filter_rows(est, p);
+            let sel_frac = (out / est.rows.max(1.0)).clamp(0.0, 1.0);
+            Some(AccessChoice {
+                pred,
+                label: format!(
+                    "INDEX ROWID SCAN {table} ({} via {})",
+                    p.name,
+                    index.to_ascii_uppercase()
+                ),
+                est_rows: out,
+                est_cost: C_PROBE + out * (C_EXACT + C_FETCH),
+                reason: format!("{} sel={sel_frac:.3} [{src}]", p.name),
+            })
+        })
+        .min_by(|a, b| a.est_cost.total_cmp(&b.est_cost))
+}
+
+// ---------------------------------------------------------------------------
 // kNN pushdown detection
 // ---------------------------------------------------------------------------
 
@@ -675,6 +751,7 @@ pub(crate) fn plan_select(
             root,
             join: None,
             knn: None,
+            access: None,
             stream_slot: 0,
             filter_hints: Vec::new(),
             exchange: None,
@@ -683,7 +760,15 @@ pub(crate) fn plan_select(
 
     let mut join_choice: Option<JoinChoice> = None;
     let mut knn_choice: Option<KnnChoice> = None;
+    let mut access: Option<AccessChoice> = None;
     let mut stream_slot = 0usize;
+    // The kNN pushdown touches ~k rows and never parallelizes.
+    let knn_detected =
+        if sel.order_by.is_empty() { None } else { detect_knn(db, &metas, &ests, sel) };
+    // A single base table's scan site: morsels under a sort run the
+    // sort too and the exchange merges sorted runs.
+    let single_table = sel.from.len() == 1 && matches!(sel.from[0], FromItem::Table { .. });
+    let scan_site = if sel.order_by.is_empty() { ExchangeSite::Scan } else { ExchangeSite::Sort };
 
     // Core strategy node.
     let mut core: PlanNode;
@@ -773,72 +858,104 @@ pub(crate) fn plan_select(
         core = n;
     } else {
         core = scan_node(0);
+        // Access path: an index rowid scan fetches only the driving
+        // predicate's answer rows; the scan reads every row, split over
+        // the exchange's workers when one would be placed.
+        let index =
+            single_table.then(|| index_access(db, &metas, &ests[0], &conj.spatial)).flatten();
+        if let Some(mut ac) = index {
+            let dop = choose_exchange(env, scan_site, ests[0].rows).map_or(1, |x| x.dop);
+            let scan_cost = ests[0].rows * (C_ROW + C_EXACT) / dop as f64;
+            let at_dop = if dop > 1 { format!(" at dop {dop}") } else { String::new() };
+            if ac.est_cost < scan_cost {
+                ac.reason = format!(
+                    "{}: domain index returns rowids, fetched in rowid order \
+                     (index≈{} < scan≈{}{at_dop}); {}",
+                    ac.reason,
+                    fmt_est(ac.est_cost),
+                    fmt_est(scan_cost),
+                    ests[0].stats_note()
+                );
+                core = PlanNode::new(ac.label.clone(), ac.est_rows, ac.est_cost, ac.reason.clone());
+                access = Some(ac);
+            } else {
+                core.reason.push_str(&format!(
+                    "; {} rejected (index≈{} >= scan≈{}{at_dop})",
+                    ac.label,
+                    fmt_est(ac.est_cost),
+                    fmt_est(scan_cost)
+                ));
+            }
+        }
     }
 
     // Filter stage: estimate output of the remaining spatial + residual
     // conjuncts; decide index-vs-scan per constant spatial predicate.
+    // The access path's driving predicate is already answered.
+    let driving = access.as_ref().map(|a| a.pred);
     let mut filter_hints: FilterHints = Vec::with_capacity(conj.spatial.len());
-    if !conj.spatial.is_empty() || conj.residual > 0 {
-        let mut rows = core.est_rows;
-        let mut cost = core.est_cost;
-        let mut notes: Vec<String> = Vec::new();
-        for sp in &conj.spatial {
-            let (tr, _) = sp.target;
-            let (out, src) = filter_rows(&ests[tr], sp);
-            let in_rows = ests[tr].rows.max(1.0);
-            let sel_frac = (out / in_rows).clamp(0.0, 1.0);
-            let has_index = matches!(sp.other, SpatialOperand::Const(_))
-                && indexed(db, &metas, sp.target.0, sp.target.1).is_some();
-            // An index prefilter pays one probe plus per-candidate
-            // exact tests inside the index; the functional path pays an
-            // exact test per input row. When the window keeps most of
-            // the table, the probe is overhead on top of the same exact
-            // work — scan instead.
-            let index_cost = C_PROBE + out * C_EXACT + rows * C_ROW;
-            let scan_cost = rows * (C_ROW + C_EXACT);
-            let use_index = has_index && index_cost < scan_cost;
-            filter_hints.push(use_index);
-            let path = if use_index {
-                format!(
-                    "domain index prefilter (probe≈{} < scan≈{})",
-                    fmt_est(index_cost),
-                    fmt_est(scan_cost)
-                )
-            } else if has_index {
-                format!(
-                    "functional evaluation (scan≈{} <= probe≈{})",
-                    fmt_est(scan_cost),
-                    fmt_est(index_cost)
-                )
-            } else {
-                "functional evaluation (no index)".to_string()
-            };
-            notes.push(format!("{} sel={:.3} [{}] via {}", sp.name, sel_frac, src, path));
-            cost += if use_index { index_cost } else { scan_cost };
-            rows *= sel_frac;
+    let mut rows = core.est_rows;
+    let mut cost = core.est_cost;
+    let mut notes: Vec<String> = Vec::new();
+    for (pi, sp) in conj.spatial.iter().enumerate() {
+        if Some(pi) == driving {
+            filter_hints.push(true);
+            continue;
         }
-        if conj.residual > 0 {
-            // Residual comparisons: the classic 1/3 guess per conjunct.
-            for _ in 0..conj.residual {
-                cost += rows * C_ROW;
-                rows /= 3.0;
-            }
-            notes.push(format!("{} residual conjunct(s) sel=0.333 each", conj.residual));
+        let (tr, _) = sp.target;
+        let (out, src) = filter_rows(&ests[tr], sp);
+        let in_rows = ests[tr].rows.max(1.0);
+        let sel_frac = (out / in_rows).clamp(0.0, 1.0);
+        let has_index = matches!(sp.other, SpatialOperand::Const(_))
+            && indexed(db, &metas, sp.target.0, sp.target.1).is_some();
+        // An index prefilter pays one probe plus per-candidate
+        // exact tests inside the index; the functional path pays an
+        // exact test per input row. When the window keeps most of
+        // the table, the probe is overhead on top of the same exact
+        // work — scan instead.
+        let index_cost = C_PROBE + out * C_EXACT + rows * C_ROW;
+        let scan_cost = rows * (C_ROW + C_EXACT);
+        let use_index = has_index && index_cost < scan_cost;
+        filter_hints.push(use_index);
+        let path = if use_index {
+            format!(
+                "domain index prefilter (probe≈{} < scan≈{})",
+                fmt_est(index_cost),
+                fmt_est(scan_cost)
+            )
+        } else if has_index {
+            format!(
+                "functional evaluation (scan≈{} <= probe≈{})",
+                fmt_est(scan_cost),
+                fmt_est(index_cost)
+            )
+        } else {
+            "functional evaluation (no index)".to_string()
+        };
+        notes.push(format!("{} sel={:.3} [{}] via {}", sp.name, sel_frac, src, path));
+        cost += if use_index { index_cost } else { scan_cost };
+        rows *= sel_frac;
+    }
+    if conj.residual > 0 {
+        // Residual comparisons: the classic 1/3 guess per conjunct.
+        for _ in 0..conj.residual {
+            cost += rows * C_ROW;
+            rows /= 3.0;
         }
+        notes.push(format!("{} residual conjunct(s) sel=0.333 each", conj.residual));
+    }
+    if !notes.is_empty() {
         let mut f = PlanNode::new("FILTER", rows, cost, notes.join("; "));
         f.children.push(core);
         core = f;
     }
 
-    // Exchange placement. The kNN pushdown (detected below) touches
-    // ~k rows and never parallelizes; everything else is sited by
-    // shape: semijoins fan out probe blocks, single-base-table
-    // pipelines fan out scan morsels — under a sort, the workers run
-    // the sort too and the exchange merges sorted runs. The driving
-    // estimate is the *input* row count (base-table rows), because
-    // morsels partition the input regardless of filter selectivity.
-    let knn_detected =
-        if sel.order_by.is_empty() { None } else { detect_knn(db, &metas, &ests, sel) };
+    // Exchange placement, sited by shape: semijoins fan out probe
+    // blocks, single-base-table scans fan out scan morsels. The
+    // driving estimate is the scan's *input* row count (base-table
+    // rows), because morsels partition the input regardless of filter
+    // selectivity. An index rowid scan reads only its answer rows and
+    // runs serially.
     let mut exchange: Option<ExchangeChoice> = None;
     if knn_detected.is_none() {
         if conj.rowid_pair.is_some() {
@@ -846,13 +963,8 @@ pub(crate) fn plan_select(
             // base tables bound the real pair volume better.
             let drive = ests.iter().fold(0.0f64, |m, e| m.max(e.rows));
             exchange = choose_exchange(env, ExchangeSite::Probe, drive);
-        } else if sel.from.len() == 1
-            && matches!(sel.from[0], FromItem::Table { .. })
-            && join_choice.is_none()
-        {
-            let site =
-                if sel.order_by.is_empty() { ExchangeSite::Scan } else { ExchangeSite::Sort };
-            exchange = choose_exchange(env, site, ests[0].rows);
+        } else if single_table && join_choice.is_none() && access.is_none() {
+            exchange = choose_exchange(env, scan_site, ests[0].rows);
         }
     }
     if let Some(x) = &exchange {
@@ -924,6 +1036,7 @@ pub(crate) fn plan_select(
         root: core,
         join: join_choice,
         knn: knn_choice,
+        access,
         stream_slot,
         filter_hints,
         exchange,

@@ -336,6 +336,60 @@ fn parallel_scan_exchange_profile_reports_worker_breakdown() {
     }
 }
 
+/// The access-path switch, exercised in both directions on a plan that
+/// would fan out (dop 2, 8-row morsels): a selective indexed window
+/// takes the index rowid scan, carries no exchange, and fetches only
+/// the rows the index exact-tested plus its answer rows; a
+/// whole-extent window on the same table stays a morsel-parallel scan.
+#[test]
+fn selective_window_takes_index_rowid_scan_and_whole_extent_scans() {
+    sdo_dbms::set_morsel_rows(8);
+    let db = session_with_tables();
+    db.execute("ANALYZE TABLE city_table").unwrap();
+    db.execute("ALTER SESSION SET parallel_dop = 2").unwrap();
+    let window = |wkt: &str| {
+        format!(
+            "SELECT id FROM city_table WHERE SDO_RELATE(geom, SDO_GEOMETRY('{wkt}'), \
+             'ANYINTERACT') = 'TRUE'"
+        )
+    };
+    let plan_text = |sql: &str| -> String {
+        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        plan.rows.iter().map(|r| r[0].as_text().unwrap().to_string()).collect::<Vec<_>>().join("\n")
+    };
+
+    let selective = window("POLYGON ((-100 35, -98 35, -98 37, -100 37, -100 35))");
+    let plan = plan_text(&selective);
+    assert!(plan.contains("INDEX ROWID SCAN CITY_TABLE (SDO_RELATE via CITY_SIDX)"), "{plan}");
+    assert!(!plan.contains("EXCHANGE"), "the index path carries no exchange:\n{plan}");
+    assert!(!plan.contains("TABLE SCAN"), "{plan}");
+
+    let n = db.execute(&selective).unwrap().rows.len() as u64;
+    assert!(n > 0, "the window must hit a county");
+    db.execute(&format!("EXPLAIN ANALYZE {selective}")).unwrap();
+    let profile = db.last_profile().unwrap();
+    assert!(profile.root.find("EXCHANGE").is_none(), "{}", profile.render_text());
+    let scan = profile.root.find("INDEX ROWID SCAN").expect("the index path runs");
+    assert_eq!(scan.rows, n, "the scan emits exactly the answer rows");
+    assert!(scan.attrs.iter().any(|(k, _)| k == "plan_reason"), "{:?}", scan.attrs);
+    let fetches = scan.metric("row_fetches").unwrap_or(0);
+    let exact = scan.metric("exact_tests").unwrap_or(0);
+    assert!(
+        fetches <= exact + n,
+        "row_fetches {fetches} must not exceed exact_tests {exact} + {n} result rows"
+    );
+
+    let whole = window("POLYGON ((-130 20, -60 20, -60 55, -130 55, -130 20))");
+    let plan = plan_text(&whole);
+    assert!(plan.contains("EXCHANGE"), "a whole-extent window fans the scan out:\n{plan}");
+    assert!(plan.contains("TABLE SCAN CITY_TABLE"), "{plan}");
+    assert!(plan.contains("INDEX ROWID SCAN") && plan.contains("rejected"), "{plan}");
+    assert_eq!(db.execute(&whole).unwrap().rows.len(), 60);
+    let profile = db.last_profile().unwrap();
+    assert!(profile.root.find("EXCHANGE").is_some(), "{}", profile.render_text());
+    assert!(profile.root.find("INDEX ROWID SCAN").is_none(), "{}", profile.render_text());
+}
+
 /// The parallel semijoin probe fetches base rows through one private
 /// row cache per worker; each worker's cache accounting must balance
 /// exactly — both sides are probed unconditionally, so

@@ -72,6 +72,29 @@ fn corpus() -> Vec<(String, bool)> {
                 .into(),
             false,
         ),
+        // Index rowid scans: a window under ORDER BY, SDO_FILTER with a
+        // residual conjunct, and a within-distance window under LIMIT
+        // (without ORDER BY, the first rows in rowid order).
+        (
+            "SELECT id FROM city_table WHERE SDO_RELATE(geom, \
+             SDO_GEOMETRY('POLYGON ((-100 30, -90 30, -90 40, -100 40, -100 30))'), \
+             'intersect') = 'TRUE' ORDER BY id"
+                .into(),
+            true,
+        ),
+        (
+            "SELECT id, SDO_AREA(geom) FROM city_table WHERE SDO_FILTER(geom, \
+             SDO_GEOMETRY('POLYGON ((-110 28, -95 28, -95 42, -110 42, -110 28))')) = 'TRUE' \
+             AND id > 10"
+                .into(),
+            true,
+        ),
+        (
+            "SELECT id FROM city_table \
+             WHERE SDO_WITHIN_DISTANCE(geom, SDO_POINT(-95, 35), 5) = 'TRUE' LIMIT 3"
+                .into(),
+            true,
+        ),
         // Unindexed window query (functional evaluation).
         (
             "SELECT id FROM plain_table WHERE SDO_RELATE(geom, \
@@ -238,6 +261,24 @@ fn max_resident_rows_budget_is_enforced() {
         let n = db.execute("SELECT COUNT(*) FROM a, b").unwrap().count().unwrap();
         assert_eq!(n, 200 * 200, "materialize={mode}");
     }
+
+    // The index rowid scan charges its rowid list: a budget below the
+    // window's answer fails naming the scan.
+    let db = session_with_tables();
+    db.execute("ALTER SESSION SET parallel_dop = 1").unwrap();
+    let window = "SELECT id FROM city_table WHERE SDO_RELATE(geom, \
+                  SDO_GEOMETRY('POLYGON ((-100 30, -90 30, -90 40, -100 40, -100 30))'), \
+                  'intersect') = 'TRUE'";
+    let n = db.execute(window).unwrap().rows.len();
+    assert!(n >= 2, "the window needs at least two rows, got {n}");
+    db.execute(&format!("ALTER SESSION SET max_resident_rows = {}", n - 1)).unwrap();
+    let err = db.execute(window).unwrap_err().to_string();
+    assert!(
+        err.contains("MAX_RESIDENT_ROWS") && err.contains("INDEX ROWID SCAN CITY_TABLE"),
+        "budget error should name the index scan, got: {err}"
+    );
+    db.execute(&format!("ALTER SESSION SET max_resident_rows = {n}")).unwrap();
+    assert_eq!(db.execute(window).unwrap().rows.len(), n);
 }
 
 #[test]

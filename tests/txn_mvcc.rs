@@ -158,6 +158,87 @@ fn rollback_restores_heap_and_spatial_index_together() {
     assert_eq!(window_count(&db, "t", 9), 1);
 }
 
+/// An indexed window over the squares at locations `lo..=hi`.
+fn window_sql(lo: i64, hi: i64) -> String {
+    let (x0, x1) = ((lo * 10) as f64 - 0.5, (hi * 10) as f64 + 1.5);
+    format!(
+        "SELECT id FROM t WHERE SDO_RELATE(geom, SDO_GEOMETRY('POLYGON (({x0} -0.5, \
+         {x1} -0.5, {x1} 1.5, {x0} 1.5, {x0} -0.5))'), 'ANYINTERACT') = 'TRUE'"
+    )
+}
+
+/// Ids answered by [`window_sql`], in result order.
+fn window_ids(sess: &sdo_dbms::Session, lo: i64, hi: i64) -> Vec<i64> {
+    let rows = sess.execute(&window_sql(lo, hi)).unwrap().rows;
+    rows.iter().map(|r| r[0].as_integer().unwrap()).collect()
+}
+
+/// The index rowid scan under MVCC. The index is maintained eagerly,
+/// so it holds entries for session A's uncommitted INSERT and for both
+/// versions of the row A's uncommitted UPDATE moves out of the window.
+/// Session B's indexed window still sees only committed rows, each
+/// exactly once; A sees its own changes; after COMMIT, B sees them.
+#[test]
+fn index_rowid_scan_reads_its_own_snapshot() {
+    let db = std::sync::Arc::new(session());
+    db.execute("CREATE TABLE t (id NUMBER, geom SDO_GEOMETRY)").unwrap();
+    for loc in 0..20 {
+        db.insert_row("t", vec![Value::Integer(loc), pair_poly(loc)]).unwrap();
+    }
+    db.execute(
+        "CREATE INDEX t_x ON t(geom) INDEXTYPE IS SPATIAL_INDEX PARAMETERS ('tree_fanout=8')",
+    )
+    .unwrap();
+    let (a, b) = (db.session(), db.session());
+    let plan = b.execute(&format!("EXPLAIN {}", window_sql(3, 5))).unwrap();
+    assert!(format!("{:?}", plan.rows).contains("INDEX ROWID SCAN T"), "{:?}", plan.rows);
+    assert_eq!(window_ids(&b, 3, 5), vec![3, 4, 5]);
+
+    a.execute("BEGIN").unwrap();
+    a.execute(&format!("INSERT INTO t VALUES (100, {})", wkt_literal(4))).unwrap();
+    a.execute(&format!("UPDATE t SET geom = {} WHERE id = 5", wkt_literal(15))).unwrap();
+    assert_eq!(window_ids(&b, 3, 5), vec![3, 4, 5], "B sees committed rows only, once each");
+    assert_eq!(window_ids(&a, 3, 5), vec![3, 4, 100], "A sees its insert and its move");
+    assert_eq!(window_ids(&a, 15, 15), vec![5, 15]);
+    assert_eq!(window_ids(&b, 15, 15), vec![15]);
+
+    a.execute("COMMIT").unwrap();
+    assert_eq!(window_ids(&b, 3, 5), vec![3, 4, 100], "B sees the committed state");
+    assert_eq!(window_ids(&b, 15, 15), vec![5, 15]);
+}
+
+/// DELETE with a window predicate collects its doomed set through the
+/// index rowid scan and removes exactly the window's rows; heap and
+/// index agree afterwards.
+#[test]
+fn windowed_delete_removes_exactly_the_window() {
+    let db = std::sync::Arc::new(session());
+    db.execute("CREATE TABLE t (id NUMBER, geom SDO_GEOMETRY)").unwrap();
+    for loc in 0..20 {
+        db.insert_row("t", vec![Value::Integer(loc), pair_poly(loc)]).unwrap();
+    }
+    db.execute(
+        "CREATE INDEX t_x ON t(geom) INDEXTYPE IS SPATIAL_INDEX PARAMETERS ('tree_fanout=8')",
+    )
+    .unwrap();
+    let s = db.session();
+    let r = s.execute(&window_sql(3, 5).replace("SELECT id", "DELETE")).unwrap();
+    assert_eq!(r.rows[0][0].as_integer(), Some(3));
+    let profile = s.last_profile().unwrap();
+    assert!(profile.root.find("INDEX ROWID SCAN").is_some(), "{}", profile.render_text());
+
+    let ids = window_ids(&s, 0, 19);
+    assert_eq!(ids, (0..20).filter(|l| !(3..=5).contains(l)).collect::<Vec<_>>());
+    let heap = count(&db, "SELECT COUNT(*) FROM t");
+    let filtered = count(
+        &db,
+        "SELECT COUNT(*) FROM t WHERE SDO_FILTER(geom, SDO_GEOMETRY('POLYGON ((-10 -10, \
+         300 -10, 300 10, -10 10, -10 -10))')) = 'TRUE'",
+    );
+    assert_eq!(heap, 17);
+    assert_eq!(filtered, heap, "full-extent SDO_FILTER count equals COUNT(*)");
+}
+
 fn wkt_literal(loc: i64) -> String {
     let x = (loc * 10) as f64;
     let x1 = x + 1.0;
