@@ -13,6 +13,11 @@
 //!    rejections (never crashes, never memory blow-up), and the
 //!    server keeps answering.
 //!
+//! The run fails if the 1-client headroom median reaches
+//! [`FLOOR_GUARD_MS`]: an uncontended statement of this size takes a
+//! few milliseconds, so a median that high means a fixed per-round-trip
+//! wire cost (such as Nagle's algorithm against a delayed ACK) is back.
+//!
 //! ```sh
 //! cargo run --release -p sdo-bench --bin exp_saturation
 //! SDO_SCALE=0.0001 cargo run -p sdo-bench --bin exp_saturation   # smoke test
@@ -30,6 +35,9 @@ use std::time::{Duration, Instant};
 /// the cost is the worst case a statement may pin, which is what
 /// admission arbitrates.
 const STMT_COST: u64 = 1_000_000;
+
+/// Largest 1-client headroom p50 the run accepts, in milliseconds.
+const FLOOR_GUARD_MS: f64 = 20.0;
 
 fn join_sql(dop: usize) -> String {
     format!(
@@ -133,6 +141,7 @@ fn main() {
         "clients", "stmts", "wall", "stmt/s", "p50", "p95", "p99", "queued", "rejects"
     );
     let mut prev_queued = 0u64;
+    let mut solo_p50_ms = f64::NAN;
     for nclients in [1usize, 2, 4, 8, 16] {
         let out = sweep(&handle, nclients, per_client, dop);
         assert_eq!(out.failed, 0, "engine errors under load");
@@ -141,6 +150,9 @@ fn main() {
         let stats = handle.admission().stats();
         let queued = stats.queued - prev_queued;
         prev_queued = stats.queued;
+        if nclients == 1 {
+            solo_p50_ms = out.latency.percentile(0.50) as f64 / 1e6;
+        }
         println!(
             "{:>8} {:>6} {:>9} {:>10.1} {:>9} {:>9} {:>9} {:>8} {:>8}",
             nclients,
@@ -157,6 +169,11 @@ fn main() {
     let final_stats = handle.admission().stats();
     assert_eq!(final_stats.in_use, 0, "budget must drain after the sweep");
     handle.shutdown();
+    assert!(
+        solo_p50_ms < FLOOR_GUARD_MS,
+        "1-client headroom p50 {solo_p50_ms:.1} ms >= {FLOOR_GUARD_MS} ms: a fixed \
+         per-round-trip wire cost is back"
+    );
 
     // -- Regime 2: overload (budget = 2 statements, no queue) --
     let handle = serve(

@@ -16,6 +16,11 @@
 //! therefore queues or rejects cleanly instead of compounding memory
 //! pressure.
 //!
+//! Every accepted socket gets `TCP_NODELAY`, as does the [`Client`]'s,
+//! and every frame leaves in one write (see [`crate::wire`]): with
+//! Nagle's algorithm on, a response would wait out the peer's 40 ms
+//! delayed ACK.
+//!
 //! The listener also speaks just enough HTTP to serve Prometheus
 //! scrapes: a connection whose first bytes are `GET ` is answered
 //! with the metrics exposition and closed, so one port serves both
@@ -126,6 +131,7 @@ pub fn serve(db: Arc<Database>, addr: &str, config: ServerConfig) -> io::Result<
                     break;
                 }
                 let Ok(stream) = conn else { continue };
+                let _ = stream.set_nodelay(true);
                 let db = Arc::clone(&db);
                 let admission = accept_admission.clone();
                 let _ =
@@ -171,47 +177,58 @@ fn metrics_text(db: &Database, admission: &AdmissionController) -> String {
 fn handle_http(mut stream: TcpStream, db: &Database, admission: &AdmissionController) {
     // Read until the end of the request head (we ignore the body —
     // GETs have none). Bounded read so a hostile peer cannot balloon.
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    while head.len() < 8192 && !head.ends_with(b"\r\n\r\n") {
-        match stream.read(&mut byte) {
-            Ok(1) => head.push(byte[0]),
+    let mut head = [0u8; 8192];
+    let mut len = 0;
+    while len < head.len() && !head[..len].windows(4).any(|w| w == b"\r\n\r\n") {
+        match stream.read(&mut head[len..]) {
+            Ok(n) if n > 0 => len += n,
             _ => break,
         }
     }
-    let request_line = String::from_utf8_lossy(&head);
+    let request_line = String::from_utf8_lossy(&head[..len]);
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, body) = if path == "/metrics" || path.starts_with("/metrics?") {
         ("200 OK", metrics_text(db, admission))
     } else {
         ("404 Not Found", "only /metrics lives here\n".to_string())
     };
-    let _ = write!(
-        stream,
+    let response = format!(
         "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
+    let _ = stream.write_all(response.as_bytes());
 }
 
-fn error_payload(kind: ErrorKind, message: &str) -> Vec<u8> {
+/// Responses smaller than this release their admission permit before
+/// the write rather than after. It is Linux's default initial TCP send
+/// buffer (`net.ipv4.tcp_wmem`). The send queue is empty when a
+/// response is written, because the client read every earlier response
+/// before sending its request, so a frame this small is copied into the
+/// kernel whole, without waiting for the client to read.
+const BUFFERED_FRAME: usize = 16 << 10;
+
+fn error_frame(kind: ErrorKind, message: &str) -> wire::Frame {
     let mut e = Encoder::new(resp::ERROR);
     e.u8(kind.code());
     e.str32(message);
-    e.finish()
+    // Only a message near MAX_FRAME (one echoing a huge statement) can
+    // fail; a short one always fits.
+    e.finish().unwrap_or_else(|_| error_frame(kind, "error message too long for one frame"))
 }
 
 /// Run one statement under admission control, recording server
-/// metrics, and encode the response payload.
+/// metrics, and encode the response frame.
 ///
-/// The admission permit is returned *with* the payload, not dropped
+/// The admission permit is returned *with* the frame, not dropped
 /// here: the materialized rows and their wire encoding stay resident
 /// until the frame is on the socket, so the budget they occupy must
-/// not be handed to the next statement before then.
+/// not be handed to the next statement before then (unless the write
+/// cannot wait on the client; see [`BUFFERED_FRAME`]).
 fn run_statement(
     session: &Session,
     admission: &AdmissionController,
     exec: impl FnOnce() -> Result<sdo_dbms::QueryResult, DbError>,
-) -> (Vec<u8>, Option<Permit>) {
+) -> (io::Result<wire::Frame>, Option<Permit>) {
     let reg = sdo_obs::global();
     let cost = session.options().max_resident_rows;
     let queue_t0 = Instant::now();
@@ -219,24 +236,24 @@ fn run_statement(
         Ok(p) => p,
         Err(e) => {
             reg.counter("server_stmt_rejected").inc();
-            return (error_payload(ErrorKind::Admission, &e.to_string()), None);
+            return (Ok(error_frame(ErrorKind::Admission, &e.to_string())), None);
         }
     };
     reg.histogram("server_admission_wait_ns").record_duration(queue_t0.elapsed());
     let t0 = Instant::now();
     let out = exec();
     reg.histogram("server_stmt_wall_ns").record_duration(t0.elapsed());
-    let payload = match out {
+    let frame = match out {
         Ok(r) => {
             reg.counter("server_stmt_executed").inc();
             wire::encode_result(&r.columns, &r.rows)
         }
         Err(e) => {
             reg.counter("server_stmt_errors").inc();
-            error_payload(ErrorKind::Statement, &e.to_string())
+            Ok(error_frame(ErrorKind::Statement, &e.to_string()))
         }
     };
-    (payload, Some(permit))
+    (frame, Some(permit))
 }
 
 /// Drive one client connection until CLOSE / EOF / protocol error.
@@ -270,40 +287,41 @@ fn handle_connection(
         // default must not take the connection down, just fall back.
         let _ = session.set_option("parallel_dop", &dop.to_string());
     }
-    sdo_obs::global().counter("server_connections_total").inc();
+    let reg = sdo_obs::global();
+    reg.counter("server_connections_total").inc();
+    let write_ns = reg.histogram("server_response_write_ns");
     loop {
         let payload = match wire::read_frame(&mut stream) {
             Ok(p) => p,
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
             Err(e) => return Err(e),
         };
-        let (mut response, permit) = match dispatch(&payload, &session, &admission, &db) {
+        let (response, mut permit) = match dispatch(&payload, &session, &admission, &db) {
             Ok(Some(r)) => r,
             Ok(None) => return Ok(()), // CLOSE
             // Undecodable frame: report and drop the connection — we
             // cannot trust the stream's framing anymore.
             Err(e) => {
-                let p = error_payload(ErrorKind::Protocol, &e.to_string());
-                let _ = wire::write_frame(&mut stream, &p);
+                let _ = wire::write_frame(
+                    &mut stream,
+                    &error_frame(ErrorKind::Protocol, &e.to_string()),
+                );
                 return Err(e);
             }
         };
-        // A result too big for one frame would be rejected by the
-        // client as a corrupt stream; downgrade it to an in-band
-        // error so the connection stays usable.
-        if response.len() > wire::MAX_FRAME as usize {
-            let msg = format!(
-                "result of {} bytes exceeds the {} MiB frame limit; \
-                 narrow the projection or add LIMIT",
-                response.len(),
-                wire::MAX_FRAME >> 20
-            );
-            response = error_payload(ErrorKind::Statement, &msg);
+        let t0 = Instant::now();
+        if response.payload().len() < BUFFERED_FRAME {
+            // The write below cannot wait on the client, so holding the
+            // budget across it guards nothing. Releasing it first means
+            // a client that has read its answer finds the budget back.
+            permit = None;
         }
         wire::write_frame(&mut stream, &response)?;
-        // Only now may the statement's admission budget fund the next
-        // one: the response buffer is off our hands.
+        let written = t0.elapsed();
+        // Only now may a large response's admission budget fund the
+        // next statement: its buffer is off our hands.
         drop(permit);
+        write_ns.record_duration(written);
     }
 }
 
@@ -315,9 +333,9 @@ fn dispatch(
     session: &Session,
     admission: &AdmissionController,
     db: &Database,
-) -> io::Result<Option<(Vec<u8>, Option<Permit>)>> {
+) -> io::Result<Option<(wire::Frame, Option<Permit>)>> {
     let (opcode, mut d) = Decoder::new(payload)?;
-    Ok(Some(match opcode {
+    let (response, permit) = match opcode {
         req::EXECUTE => {
             let sql = d.str32()?;
             run_statement(session, admission, || session.execute(&sql))
@@ -325,15 +343,15 @@ fn dispatch(
         req::PREPARE => {
             let name = d.str16()?;
             let sql = d.str32()?;
-            let payload = match session.prepare(&name, &sql) {
+            let frame = match session.prepare(&name, &sql) {
                 Ok(nparams) => {
                     let mut e = Encoder::new(resp::PREPARED);
-                    e.u16(nparams as u16);
+                    e.count16("bind-parameter count", nparams);
                     e.finish()
                 }
-                Err(e) => error_payload(ErrorKind::Statement, &e.to_string()),
+                Err(e) => Ok(error_frame(ErrorKind::Statement, &e.to_string())),
             };
-            (payload, None)
+            (frame, None)
         }
         req::EXEC_PREPARED => {
             let name = d.str16()?;
@@ -346,23 +364,29 @@ fn dispatch(
         }
         req::DEALLOCATE => {
             let name = d.str16()?;
-            let payload = match session.deallocate(&name) {
+            let frame = match session.deallocate(&name) {
                 Ok(()) => wire::encode_result(&[], &[]),
-                Err(e) => error_payload(ErrorKind::Statement, &e.to_string()),
+                Err(e) => Ok(error_frame(ErrorKind::Statement, &e.to_string())),
             };
-            (payload, None)
+            (frame, None)
         }
         req::METRICS => {
             let mut e = Encoder::new(resp::TEXT);
             e.str32(&metrics_text(db, admission));
             (e.finish(), None)
         }
-        req::PING => (vec![resp::PONG], None),
+        req::PING => (Encoder::new(resp::PONG).finish(), None),
         req::CLOSE => return Ok(None),
         other => {
-            (error_payload(ErrorKind::Protocol, &format!("unknown opcode 0x{other:02x}")), None)
+            (Ok(error_frame(ErrorKind::Protocol, &format!("unknown opcode 0x{other:02x}"))), None)
         }
-    }))
+    };
+    // A response that cannot be framed — a result past MAX_FRAME, a
+    // column name past 65 535 bytes — would desync the client; send an
+    // in-band statement error instead so the connection stays usable.
+    let frame = response
+        .unwrap_or_else(|e| error_frame(ErrorKind::Statement, &format!("response not sent: {e}")));
+    Ok(Some((frame, permit)))
 }
 
 /// A blocking wire-protocol client.
@@ -421,13 +445,16 @@ impl Client {
         Ok(Client { stream })
     }
 
-    fn roundtrip(&mut self, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        wire::write_frame(&mut self.stream, payload)?;
+    /// Send one request and read the answer. A request that cannot be
+    /// framed fails here, before any byte is written, so the
+    /// connection stays usable.
+    fn roundtrip(&mut self, request: Encoder) -> Result<Vec<u8>, ClientError> {
+        wire::write_frame(&mut self.stream, &request.finish()?)?;
         Ok(wire::read_frame(&mut self.stream)?)
     }
 
-    fn expect_result(&mut self, payload: &[u8]) -> Result<WireResult, ClientError> {
-        let answer = self.roundtrip(payload)?;
+    fn expect_result(&mut self, request: Encoder) -> Result<WireResult, ClientError> {
+        let answer = self.roundtrip(request)?;
         let (opcode, mut d) = Decoder::new(&answer)?;
         match opcode {
             resp::RESULT => Ok(wire::decode_result(&mut d)?),
@@ -440,15 +467,15 @@ impl Client {
     pub fn execute(&mut self, sql: &str) -> Result<WireResult, ClientError> {
         let mut e = Encoder::new(req::EXECUTE);
         e.str32(sql);
-        self.expect_result(&e.finish())
+        self.expect_result(e)
     }
 
     /// Cache a statement server-side; returns its bind-param count.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<usize, ClientError> {
         let mut e = Encoder::new(req::PREPARE);
-        e.str16(name);
+        e.str16("statement name", name);
         e.str32(sql);
-        let answer = self.roundtrip(&e.finish())?;
+        let answer = self.roundtrip(e)?;
         let (opcode, mut d) = Decoder::new(&answer)?;
         match opcode {
             resp::PREPARED => Ok(d.u16()? as usize),
@@ -464,24 +491,24 @@ impl Client {
         params: &[Value],
     ) -> Result<WireResult, ClientError> {
         let mut e = Encoder::new(req::EXEC_PREPARED);
-        e.str16(name);
-        e.u16(params.len() as u16);
+        e.str16("statement name", name);
+        e.count16("bind-parameter count", params.len());
         for p in params {
             e.value(p);
         }
-        self.expect_result(&e.finish())
+        self.expect_result(e)
     }
 
     /// Drop a server-side prepared statement.
     pub fn deallocate(&mut self, name: &str) -> Result<(), ClientError> {
         let mut e = Encoder::new(req::DEALLOCATE);
-        e.str16(name);
-        self.expect_result(&e.finish()).map(|_| ())
+        e.str16("statement name", name);
+        self.expect_result(e).map(|_| ())
     }
 
     /// Fetch the Prometheus metrics exposition over the wire protocol.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let answer = self.roundtrip(&[req::METRICS])?;
+        let answer = self.roundtrip(Encoder::new(req::METRICS))?;
         let (opcode, mut d) = Decoder::new(&answer)?;
         match opcode {
             resp::TEXT => Ok(d.str32()?),
@@ -492,7 +519,7 @@ impl Client {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let answer = self.roundtrip(&[req::PING])?;
+        let answer = self.roundtrip(Encoder::new(req::PING))?;
         match Decoder::new(&answer)?.0 {
             resp::PONG => Ok(()),
             other => Err(unexpected(other)),
@@ -501,7 +528,7 @@ impl Client {
 
     /// Orderly shutdown of this connection.
     pub fn close(mut self) -> Result<(), ClientError> {
-        wire::write_frame(&mut self.stream, &[req::CLOSE])?;
+        wire::write_frame(&mut self.stream, &Encoder::new(req::CLOSE).finish()?)?;
         Ok(())
     }
 }

@@ -34,6 +34,23 @@
 //! bits LE); 3 text (`str32`); 4 rowid (`u64` LE); 5 geometry as WKT
 //! (`str32`) — geometry crosses the wire in its text form, so clients
 //! need no geometry codec.
+//!
+//! ## One write per frame
+//!
+//! [`Encoder`] reserves the length slot up front, so
+//! [`Encoder::finish`] yields a complete [`Frame`] and [`write_frame`]
+//! hands it to the socket in one `write_all`: one syscall, and no
+//! second copy of a result that may be 64 MiB. Both ends also set
+//! `TCP_NODELAY`. Neither alone is enough: a frame written as header
+//! then payload lets Nagle's algorithm hold the payload back until the
+//! peer ACKs the header, and the peer, blocked reading the rest of the
+//! frame, delays that ACK by the kernel's 40 ms minimum. Every round
+//! trip would pay that floor, whatever the query.
+//!
+//! Encoding is fallible. A `str16` or `u16` count past 65 535, or a
+//! payload past [`MAX_FRAME`], makes `finish` return an error instead
+//! of truncating a length prefix and desyncing the stream. Nothing has
+//! been written by then, so the connection stays usable.
 
 use sdo_storage::{RowId, Value};
 use std::io::{self, Read, Write};
@@ -124,34 +141,41 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// Write one frame with the given payload.
-///
-/// An empty or over-[`MAX_FRAME`] payload is refused *before* any
-/// bytes hit the stream: the peer would reject the frame as corrupt
-/// anyway (and a >4 GiB payload would silently truncate the `u32`
-/// length prefix, desyncing the connection for good).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.is_empty() || payload.len() > MAX_FRAME as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame payload of {} bytes outside 1..={MAX_FRAME}", payload.len()),
-        ));
+/// One complete frame, length prefix included, as built by
+/// [`Encoder::finish`]. Its payload is non-empty and at most
+/// [`MAX_FRAME`] bytes by construction, so a frame that exists can be
+/// written without desyncing the peer.
+pub struct Frame {
+    bytes: Vec<u8>,
+}
+
+impl Frame {
+    /// The payload (opcode byte included), without the length prefix.
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[4..]
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+}
+
+/// Write one frame in a single `write_all`.
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    w.write_all(&frame.bytes)?;
     w.flush()
 }
 
-/// Incremental big-endian-free encoder for frame payloads.
-#[derive(Default)]
+/// Incremental encoder for one frame. The 4-byte length slot is
+/// reserved up front and filled in by [`finish`](Self::finish).
+///
+/// The first length overflow is kept and reported by `finish`; the
+/// frame will never be sent, so later appends do no harm.
 pub struct Encoder {
     buf: Vec<u8>,
+    overflow: Option<String>,
 }
 
 impl Encoder {
-    /// Start a payload with `opcode`.
+    /// Start a frame whose payload opens with `opcode`.
     pub fn new(opcode: u8) -> Self {
-        Encoder { buf: vec![opcode] }
+        Encoder { buf: vec![0, 0, 0, 0, opcode], overflow: None }
     }
 
     /// Append a raw byte.
@@ -160,9 +184,13 @@ impl Encoder {
         self
     }
 
-    /// Append a LE `u16`.
-    pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Append `n` as a LE `u16` count; past `u16::MAX` it fails the
+    /// frame, with `what` naming the count in the error.
+    pub fn count16(&mut self, what: &str, n: usize) -> &mut Self {
+        match u16::try_from(n) {
+            Ok(v) => self.buf.extend_from_slice(&v.to_le_bytes()),
+            Err(_) => self.fail(format!("{what} {n} exceeds the wire limit of {}", u16::MAX)),
+        }
         self
     }
 
@@ -172,15 +200,31 @@ impl Encoder {
         self
     }
 
-    /// Append a `str16` (length-prefixed short string).
-    pub fn str16(&mut self, s: &str) -> &mut Self {
-        debug_assert!(s.len() <= u16::MAX as usize);
-        self.u16(s.len() as u16);
-        self.buf.extend_from_slice(s.as_bytes());
+    /// Append a `str16` (length-prefixed short string); past
+    /// `u16::MAX` bytes it fails the frame, with `what` naming the
+    /// string in the error.
+    pub fn str16(&mut self, what: &str, s: &str) -> &mut Self {
+        match u16::try_from(s.len()) {
+            Ok(n) => {
+                self.buf.extend_from_slice(&n.to_le_bytes());
+                self.buf.extend_from_slice(s.as_bytes());
+            }
+            Err(_) => self.fail(format!(
+                "{what} of {} bytes exceeds the wire limit of {} bytes",
+                s.len(),
+                u16::MAX
+            )),
+        }
         self
     }
 
-    /// Append a `str32` (length-prefixed string).
+    fn fail(&mut self, msg: String) {
+        self.overflow.get_or_insert(msg);
+    }
+
+    /// Append a `str32` (length-prefixed string). A string too long for
+    /// its `u32` prefix is past [`MAX_FRAME`] too, so `finish` refuses
+    /// the frame.
     pub fn str32(&mut self, s: &str) -> &mut Self {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
@@ -218,9 +262,25 @@ impl Encoder {
         self
     }
 
-    /// Finish, yielding the payload bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
+    /// Fill in the length prefix, yielding the complete frame. Fails
+    /// on the first length overflow, or on a payload past
+    /// [`MAX_FRAME`], which the peer would reject as a corrupt stream.
+    pub fn finish(mut self) -> io::Result<Frame> {
+        if let Some(msg) = self.overflow {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        }
+        let len = self.buf.len() - 4;
+        if len > MAX_FRAME as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "frame payload of {len} bytes exceeds the {} MiB frame limit",
+                    MAX_FRAME >> 20
+                ),
+            ));
+        }
+        self.buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        Ok(Frame { bytes: self.buf })
     }
 }
 
@@ -308,12 +368,12 @@ impl<'a> Decoder<'a> {
 }
 
 /// Encode a tabular result (columns + value rows) as a `RESULT`
-/// payload.
-pub fn encode_result(columns: &[String], rows: &[Vec<Value>]) -> Vec<u8> {
+/// frame.
+pub fn encode_result(columns: &[String], rows: &[Vec<Value>]) -> io::Result<Frame> {
     let mut e = Encoder::new(resp::RESULT);
-    e.u16(columns.len() as u16);
+    e.count16("column count", columns.len());
     for c in columns {
-        e.str16(c);
+        e.str16("column name", c);
     }
     e.u32(rows.len() as u32);
     for row in rows {
@@ -362,8 +422,8 @@ mod tests {
         for v in &vals {
             e.value(v);
         }
-        let payload = e.finish();
-        let (op, mut d) = Decoder::new(&payload).unwrap();
+        let frame = e.finish().unwrap();
+        let (op, mut d) = Decoder::new(frame.payload()).unwrap();
         assert_eq!(op, resp::RESULT);
         for v in &vals {
             assert_eq!(&d.value().unwrap(), v);
@@ -376,8 +436,8 @@ mod tests {
         let columns = vec!["A".to_string(), "B".to_string()];
         let rows =
             vec![vec![Value::Integer(1), Value::text("x")], vec![Value::Null, Value::Double(0.5)]];
-        let payload = encode_result(&columns, &rows);
-        let (op, mut d) = Decoder::new(&payload).unwrap();
+        let frame = encode_result(&columns, &rows).unwrap();
+        let (op, mut d) = Decoder::new(frame.payload()).unwrap();
         assert_eq!(op, resp::RESULT);
         let (c2, r2) = decode_result(&mut d).unwrap();
         assert_eq!(c2, columns);
@@ -388,7 +448,8 @@ mod tests {
     #[test]
     fn frame_roundtrip_and_bad_lengths() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &[resp::PONG]).unwrap();
+        write_frame(&mut buf, &Encoder::new(resp::PONG).finish().unwrap()).unwrap();
+        assert_eq!(buf, [1, 0, 0, 0, resp::PONG]);
         let payload = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(payload, vec![resp::PONG]);
 
@@ -399,20 +460,74 @@ mod tests {
         assert!(read_frame(&mut huge.as_slice()).is_err());
     }
 
+    /// Counts `write` calls, to pin the one-write-per-frame property.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let rows: Vec<Vec<Value>> = (0..1000).map(|i| vec![Value::Integer(i)]).collect();
+        let frame = encode_result(&["ID".to_string()], &rows).unwrap();
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &frame).unwrap();
+        assert_eq!(w.writes, 1, "header and payload must leave together");
+        assert_eq!(read_frame(&mut w.bytes.as_slice()).unwrap(), frame.payload());
+    }
+
     #[test]
     fn oversized_and_empty_writes_rejected_before_any_bytes() {
-        let mut out = Vec::new();
-        assert!(write_frame(&mut out, &[]).is_err());
-        let big = vec![0u8; MAX_FRAME as usize + 1];
-        assert!(write_frame(&mut out, &big).is_err());
-        assert!(out.is_empty(), "a refused frame must not desync the stream");
+        // Every frame carries its opcode, so an empty payload cannot be
+        // built; an oversized one fails at `finish`, before a `Frame`
+        // (and so any write) exists.
+        assert_eq!(Encoder::new(req::PING).finish().unwrap().payload(), [req::PING]);
+        let mut e = Encoder::new(resp::TEXT);
+        e.str32(&"x".repeat(MAX_FRAME as usize));
+        let err = e.finish().err().expect("a payload past MAX_FRAME must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn length_overflows_fail_the_frame_instead_of_truncating() {
+        let long = "a".repeat(u16::MAX as usize + 1);
+        let mut e = Encoder::new(req::PREPARE);
+        e.str16("statement name", &long).str32("SELECT 1");
+        let err = e.finish().err().expect("str16 overflow");
+        assert!(err.to_string().contains("statement name of 65536 bytes"), "{err}");
+
+        let mut e = Encoder::new(req::EXEC_PREPARED);
+        e.count16("parameter count", u16::MAX as usize + 1);
+        assert!(e.finish().is_err());
+
+        // At the limit itself the frame is fine and decodes back.
+        let edge = "b".repeat(u16::MAX as usize);
+        let mut e = Encoder::new(req::DEALLOCATE);
+        e.str16("statement name", &edge);
+        let frame = e.finish().unwrap();
+        let (_, mut d) = Decoder::new(frame.payload()).unwrap();
+        assert_eq!(d.str16().unwrap(), edge);
+        assert!(d.at_end());
     }
 
     #[test]
     fn truncated_bodies_error_cleanly() {
         let mut e = Encoder::new(req::EXECUTE);
         e.str32("SELECT 1");
-        let payload = e.finish();
+        let frame = e.finish().unwrap();
+        let payload = frame.payload();
         // Chop the body mid-string: decoding must fail, not panic.
         let (_, mut d) = Decoder::new(&payload[..payload.len() - 3]).unwrap();
         assert!(d.str32().is_err());

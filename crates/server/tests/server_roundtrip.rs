@@ -1,13 +1,14 @@
 //! End-to-end tests over a real TCP socket: DDL/DML/query round
 //! trips, prepared statements, session isolation, admission control,
-//! and the dual-protocol metrics endpoint.
+//! the dual-protocol metrics endpoint, wire length limits, and the
+//! per-round-trip latency floor.
 
 use sdo_dbms::Database;
-use sdo_server::{serve, Client, ClientError, ServerConfig, ServerHandle};
+use sdo_server::{serve, Client, ClientError, ErrorKind, ServerConfig, ServerHandle};
 use sdo_storage::Value;
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(config: ServerConfig) -> (Arc<Database>, ServerHandle) {
     let db = Arc::new(Database::new());
@@ -203,6 +204,13 @@ fn metrics_over_wire_and_http() {
     assert!(text.contains("server_sessions_active"));
     assert!(text.contains("server_admission_budget_rows"));
     assert!(text.contains("tf_pool_workers_alive"));
+    // The write phase of every response is timed beside the statement
+    // wall time.
+    assert!(text.contains("# TYPE server_stmt_wall_ns summary"), "missing stmt wall in:\n{text}");
+    assert!(
+        text.contains("# TYPE server_response_write_ns summary"),
+        "missing response write time in:\n{text}"
+    );
 
     // Same port, HTTP scrape.
     let mut http = std::net::TcpStream::connect(handle.addr()).unwrap();
@@ -252,6 +260,91 @@ fn concurrent_clients_share_the_engine() {
     let mut c = client(&handle);
     let (_, rows) = c.execute("SELECT COUNT(*) FROM ledger").unwrap();
     assert_eq!(rows, vec![vec![Value::Integer(100)]]);
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+/// Median of `n` timed calls of `f`, in milliseconds.
+fn median_ms(n: usize, mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..n)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[n / 2]
+}
+
+/// A round trip costs what its statement costs, not a fixed floor.
+/// With Nagle's algorithm on, or a frame written as header then
+/// payload, every response waits out the client's 40 ms delayed ACK.
+#[test]
+fn back_to_back_round_trips_pay_no_delayed_ack_floor() {
+    let (_db, handle) = start(ServerConfig::default());
+    let mut c = client(&handle);
+    c.execute("CREATE TABLE ten (id NUMBER)").unwrap();
+    for i in 0..10 {
+        c.execute(&format!("INSERT INTO ten VALUES ({i})")).unwrap();
+    }
+    let ping_ms = median_ms(50, || c.ping().unwrap());
+    let count_ms = median_ms(50, || {
+        let (_, rows) = c.execute("SELECT COUNT(*) FROM ten").unwrap();
+        assert_eq!(rows, vec![vec![Value::Integer(10)]]);
+    });
+    assert!(ping_ms < 10.0, "median PING round trip {ping_ms:.2} ms");
+    assert!(count_ms < 10.0, "median SELECT COUNT(*) round trip {count_ms:.2} ms");
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+/// A result whose column name is past the `str16` limit comes back as
+/// an in-band statement error instead of a truncated length prefix
+/// that desyncs the stream.
+#[test]
+fn oversized_column_name_is_an_in_band_error() {
+    let (db, handle) = start(ServerConfig::default());
+    db.execute("CREATE TABLE t (id NUMBER)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    let sql = format!("SELECT id AS {} FROM t", "a".repeat(70_000));
+    assert_eq!(db.execute(&sql).expect("works embedded").columns[0].len(), 70_000);
+
+    let mut c = client(&handle);
+    match c.execute(&sql).unwrap_err() {
+        ClientError::Server { kind: ErrorKind::Statement, message } => {
+            assert!(message.contains("column name of 70000 bytes"), "got: {message}")
+        }
+        other => panic!("expected an in-band statement error, got {other}"),
+    }
+    // The connection is still in sync.
+    c.ping().unwrap();
+    let (_, rows) = c.execute("SELECT id FROM t").unwrap();
+    assert_eq!(rows, vec![vec![Value::Integer(1)]]);
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+/// A request the client cannot frame fails before any byte is
+/// written, so the server never sees a corrupt frame and the
+/// connection stays usable.
+#[test]
+fn oversized_request_fields_fail_before_the_wire() {
+    let (_db, handle) = start(ServerConfig::default());
+    let mut c = client(&handle);
+    c.execute("CREATE TABLE t (id NUMBER)").unwrap();
+    c.execute("INSERT INTO t VALUES (7)").unwrap();
+    let long_name = "p".repeat(70_000);
+    let err = c.prepare(&long_name, "SELECT id FROM t").unwrap_err();
+    assert!(matches!(&err, ClientError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData));
+    assert!(err.to_string().contains("statement name of 70000 bytes"), "got: {err}");
+    let too_many = vec![Value::Null; u16::MAX as usize + 1];
+    assert!(matches!(c.execute_prepared("p", &too_many), Err(ClientError::Io(_))));
+
+    c.ping().unwrap();
+    assert_eq!(c.prepare("p", "SELECT id FROM t WHERE id = ?").unwrap(), 1);
+    let (_, rows) = c.execute_prepared("p", &[Value::Integer(7)]).unwrap();
+    assert_eq!(rows, vec![vec![Value::Integer(7)]]);
     c.close().unwrap();
     handle.shutdown();
 }
